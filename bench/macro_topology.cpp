@@ -738,16 +738,33 @@ int main(int argc, char** argv) {
   constexpr double kMaxBuildUsPerStation = 6.0;
   const double build_us_per_station =
       station.hosts > 0 ? station.build_ms * 1e3 / station.hosts : 1e9;
+  // Receivers each carried frame visited, against the per-attached model
+  // that visits every receiver on the segment -- visited plus skipped,
+  // ~125,000 here. Interest-filtered delivery reaches the frame's target
+  // plus the bridge port and generator NICs, so the bound is a small
+  // constant far below the model, which a regression to walking every
+  // attached NIC would cost.
+  constexpr double kMaxReceiverVisitsPerFrame = 16.0;
+  const double frames = static_cast<double>(std::max<std::uint64_t>(1, station.frames_carried));
+  const double receiver_visits_per_frame =
+      static_cast<double>(station.receiver_visits) / frames;
+  const double per_attached_model =
+      static_cast<double>(station.receiver_visits + station.receivers_skipped) / frames;
+  std::printf("station scale receivers: %.2f visited/frame (per-attached model: %.0f)\n",
+              receiver_visits_per_frame, per_attached_model);
   const bool station_ok =
       station.hosts >= 1000000 &&
       (station.bytes_per_station == 0.0 ||  // RSS not visible on this platform
        station.bytes_per_station <= kMaxBytesPerStation) &&
       build_us_per_station <= kMaxBuildUsPerStation &&
-      station.pings_answered == station.pings_sent && station.pings_sent > 0;
+      station.pings_answered == station.pings_sent && station.pings_sent > 0 &&
+      receiver_visits_per_frame <= kMaxReceiverVisitsPerFrame &&
+      kMaxReceiverVisitsPerFrame < per_attached_model;
   if (!station_ok) {
     std::fprintf(stderr,
                  "station-scale cell regressed (size, per-station memory, "
-                 "build time, or lost pings) -- investigate\n");
+                 "build time, lost pings, or receivers visited per frame) -- "
+                 "investigate\n");
   }
 
   std::FILE* f = std::fopen("BENCH_topology.json", "w");
@@ -785,7 +802,8 @@ int main(int argc, char** argv) {
                "  \"aggregate_profile\": {\"cell\": \"%s\", \"stations\": %d, "
                "\"build_ms\": %.2f, \"build_us_per_station\": %.3f, "
                "\"peak_rss_bytes\": %llu, \"bytes_per_station\": %.1f, "
-               "\"pings_sent\": %d, \"pings_answered\": %d},\n"
+               "\"pings_sent\": %d, \"pings_answered\": %d, "
+               "\"receiver_visits_per_frame\": %.3f, \"per_attached_model\": %.1f},\n"
                "  \"tcp_incast\": {\"senders\": %d, \"link_mbps\": %.1f, "
                "\"offered_mbps\": %.1f, \"goodput_mbps\": %.2f, "
                "\"fair_share_mbps\": %.2f, \"min_stream_mbps\": %.2f, "
@@ -820,7 +838,8 @@ int main(int argc, char** argv) {
                build_us_per_station,
                static_cast<unsigned long long>(station.peak_rss_bytes),
                station.bytes_per_station, station.pings_sent,
-               station.pings_answered, incast.senders, incast.link_mbps,
+               station.pings_answered, receiver_visits_per_frame, per_attached_model,
+               incast.senders, incast.link_mbps,
                incast.offered_mbps, incast.goodput_mbps,
                incast.fair_share_mbps, incast.min_stream_mbps,
                static_cast<unsigned long long>(incast.retransmits),

@@ -25,8 +25,10 @@
 #      bound, CI runners are noisy).
 #   6. aggregate_profile: the million-station cell (star-8x125000 under the
 #      aggregate-hosts workload) must have actually run at size, stayed
-#      within the per-station memory and build-time budgets, and answered
-#      every ping. The budgets sit between the arena + aggregate model's
+#      within the per-station memory and build-time budgets, answered
+#      every ping, and visited at most 16 receivers per carried frame --
+#      strictly below the per-attached model (~125,000: every receiver on
+#      the segment). The memory and build budgets sit between the arena + aggregate model's
 #      measured cost (804 B, 0.64-2.3 us per station) and the per-object
 #      model's (1433 B, 16.2 us), so a regression toward per-station heap
 #      objects or quadratic attach fails here even if the cell still
@@ -162,6 +164,18 @@ if ! awk -v b="$bups" -v max="$max_bups" 'BEGIN { exit !(b <= max) }'; then
 fi
 if [ "$agg_sent" -eq 0 ] || [ "$agg_answered" -ne "$agg_sent" ]; then
   fail "aggregate workload lost pings: $agg_answered/$agg_sent answered"
+fi
+# Matches kMaxReceiverVisitsPerFrame: a constant, strictly below the
+# per-attached model (visited + skipped receivers per frame, ~125,000 on
+# this cell) that a regression to walking every attached NIC would cost.
+rvpf=$(field "$agg_line" receiver_visits_per_frame)
+rv_model=$(field "$agg_line" per_attached_model)
+[ -n "$rvpf" ] && [ -n "$rv_model" ] \
+  || fail "could not parse receiver_visits_per_frame from: $agg_line"
+max_rvpf=16
+if ! awk -v v="$rvpf" -v max="$max_rvpf" -v model="$rv_model" \
+     'BEGIN { exit !(v <= max && max < model) }'; then
+  fail "LAN delivery regressed: $rvpf receivers visited/frame (limit: $max_rvpf, per-attached model: $rv_model)"
 fi
 
 # --- tcp_incast: reliability + goodput under 2x offered load -------------

@@ -174,6 +174,10 @@ struct SweepResult {
   std::uint64_t frames_carried = 0;
   std::uint64_t bytes_carried = 0;
   std::uint64_t frames_lost = 0;
+  /// Receivers the segments' delivery walks visited, and the attached
+  /// receivers they skipped because a frame was not for them (LanStats).
+  std::uint64_t receiver_visits = 0;
+  std::uint64_t receivers_skipped = 0;
   std::size_t mac_entries = 0;
   int pings_sent = 0;
   int pings_answered = 0;

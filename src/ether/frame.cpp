@@ -147,6 +147,34 @@ util::Expected<Frame, std::string> Frame::decode(util::ByteView wire) {
   return f;
 }
 
+WireSummary summarize_wire(util::ByteView wire) {
+  WireSummary s;
+  if (wire.size() < kHeaderSize + Frame::kMinPayload + kFcsSize) return s;
+  s.readable = true;
+  util::BufReader r(wire.first(wire.size() - kFcsSize));
+  s.dst = MacAddress::read(r);
+  r.skip(MacAddress::kSize);  // src
+  s.type_or_length = r.u16();
+  if (s.type_or_length != static_cast<std::uint16_t>(EtherType::kArp) ||
+      r.remaining() < 28) {
+    return s;
+  }
+  // The ARP shape check mirrors stack::ArpPacket::decode field for field;
+  // tests/fuzz/codec_fuzz_test.cpp holds the two to agreement.
+  const std::uint16_t htype = r.u16();
+  const std::uint16_t ptype = r.u16();
+  const std::uint8_t hlen = r.u8();
+  const std::uint8_t plen = r.u8();
+  const std::uint16_t op = r.u16();
+  if (htype != 1 || ptype != static_cast<std::uint16_t>(EtherType::kIpv4) ||
+      hlen != 6 || plen != 4 || (op != 1 && op != 2)) {
+    return s;
+  }
+  r.skip(MacAddress::kSize + 4 + MacAddress::kSize);  // sender MAC/IP, target MAC
+  s.arp_target = r.u32();
+  return s;
+}
+
 DatapathCounters& datapath_counters() {
   // Thread-local: sharded cells encode/decode frames from several shard
   // worker threads at once. Each thread accumulates into its own instance

@@ -103,6 +103,27 @@ struct Frame {
   friend bool operator==(const Frame&, const Frame&) = default;
 };
 
+/// What a LAN segment needs to know about a frame to pick its receivers,
+/// read straight from the wire bytes: no decode, no FCS check, no
+/// allocation, and never a byte past the end of `wire`. Receivers still
+/// parse (and FCS-check) the shared WireFrame themselves; the summary only
+/// narrows who gets to.
+struct WireSummary {
+  /// At least a minimum-size frame. Runts fail every receiver's decode
+  /// alike, so a segment hands them to everyone.
+  bool readable = false;
+  MacAddress dst;
+  std::uint16_t type_or_length = 0;
+  /// Target protocol address of a well-formed IPv4-over-Ethernet ARP
+  /// packet in an Ethernet II frame -- exactly the shape
+  /// stack::ArpPacket::decode accepts (at least 28 bytes, htype 1, ptype
+  /// 0x0800, address lengths 6/4, op 1 or 2). nullopt for everything
+  /// else, malformed ARP included.
+  std::optional<std::uint32_t> arp_target;
+};
+
+[[nodiscard]] WireSummary summarize_wire(util::ByteView wire);
+
 /// Datapath work counters, incremented by Frame::encode / Frame::decode and
 /// the buffer-materialization points of the wire path. The simulator is
 /// single-threaded, so plain integers suffice. Benchmarks and tests reset

@@ -1,12 +1,36 @@
 // A broadcast LAN segment: the simulated stand-in for the paper's 100 Mbps
 // Ethernets. Every frame transmitted by an attached NIC is delivered, after
-// a propagation delay, to every other attached NIC (which then applies its
-// own address filter / promiscuous mode). Serialization delay is charged at
-// the transmitting NIC using the segment's bit rate.
+// a propagation delay, to the other attached NICs it is FOR -- the ones a
+// real adapter's address filter would pass -- and never walks the rest.
+// Serialization delay is charged at the transmitting NIC using the
+// segment's bit rate.
+//
+// Who a frame is for is read from its wire bytes (ether::summarize_wire)
+// when it goes on the wire:
+//   * a unicast frame reaches the NICs with its destination MAC plus every
+//     promiscuous NIC (the paper's bound bridge ports);
+//   * a group frame reaches the promiscuous NICs and every NIC that has not
+//     declared an ARP address (Nic::set_arp_address); a well-formed ARP
+//     also reaches the NICs that declared its target address;
+//   * an IPv4 group frame, a malformed ARP or a runt reaches every NIC.
+// Each receiver still applies its own filter on delivery. On a large
+// segment the first two cases cost O(interested receivers), not
+// O(attached): the segment keeps its always-visited NICs (promiscuous or
+// undeclared) in attach order, plus one flat open-addressing index from
+// MAC and from ARP address to attach slots. Small segments just filter
+// their attach list. Either way receivers fire in attach order, so every
+// handler runs exactly as the unfiltered walk ran it. Skipped receivers
+// are counted once per frame in LanStats::receivers_skipped.
+//
+// Loss: every attached receiver (sender excluded) still draws in attach
+// order, interested or not, so a seeded loss sequence and frames_lost do
+// not depend on who the frames are for; lossy segments walk their attach
+// list. A frame no surviving receiver is for still costs its one delivery
+// event, so the event stream is the unfiltered walk's too.
 //
 // Delivery is per SEGMENT, not per receiver: one broadcast schedules one
 // event whose callback walks a snapshot of the receiver set taken at
-// transmit time (loss already applied, sender excluded) -- a
+// transmit time (loss and interest already applied, sender excluded) -- a
 // thousand-station LAN costs one heap insert and one dispatch per frame
 // where the per-receiver scheme cost a thousand of each. A NIC detached
 // between transmit and delivery, or detached/destroyed by an earlier
@@ -48,6 +72,11 @@ struct LanStats {
   std::uint64_t frames_lost = 0;  ///< receiver-side drops from the loss model
   /// Whole-frame drops scripted via set_drop_filter (conformance suites).
   std::uint64_t frames_dropped_by_filter = 0;
+  /// Attached receivers a frame was not for, skipped at transmit time
+  /// instead of visited (the address filter, applied by the segment).
+  std::uint64_t receivers_skipped = 0;
+  /// Receivers the delivery walks handed a frame to (Nic::deliver calls).
+  std::uint64_t receivers_visited = 0;
 };
 
 /// A shared broadcast medium. Attach NICs with Nic::attach().
@@ -70,10 +99,10 @@ class LanSegment {
   [[nodiscard]] Duration serialization_delay(std::size_t bytes) const;
 
   /// Carries one shared wire buffer from `sender` to every other attached
-  /// NIC with ONE scheduled delivery event for the whole segment. All
-  /// receivers reference the same WireFrame, so they share one decode and
-  /// one FCS verification. Called by Nic's transmit path; tests may inject
-  /// frames with a null sender (delivered to everyone).
+  /// NIC it is for with ONE scheduled delivery event for the whole
+  /// segment. All receivers reference the same WireFrame, so they share
+  /// one decode and one FCS verification. Called by Nic's transmit path;
+  /// tests may inject frames with a null sender (no one excluded).
   void broadcast(const ether::WireFrame& frame, const Nic* sender);
 
   /// Sentinel for "no receiver run": a prepared broadcast with no
@@ -118,8 +147,9 @@ class LanSegment {
 
   /// Remote-origin delivery for a cut segment's non-owning replicas: wraps
   /// the relayed wire bytes arriving from another shard's mailbox and
-  /// carries them to every locally attached NIC at absolute time
-  /// `deliver_at` (transmit time + propagation, computed producer-side).
+  /// carries them to every locally attached NIC they are for at absolute
+  /// time `deliver_at` (transmit time + propagation, computed
+  /// producer-side).
   /// Counts NO frames_carried/bytes_carried -- the owning replica already
   /// counted the frame once -- but local loss draws still count
   /// frames_lost here. No sender exclusion: the sender's NIC lives in the
@@ -131,9 +161,31 @@ class LanSegment {
   // Nic::attach/detach call these.
   void attach_nic(Nic& nic);
   void detach_nic(Nic& nic);
+  /// Nic::set_promiscuous / set_arp_address call this after changing the
+  /// NIC's filter state (`old_ip`: its ARP address before the change).
+  void filter_changed(Nic& nic, std::uint32_t old_ip);
+
+  /// Segments with at most this many attach slots filter their attach list
+  /// per frame; larger ones keep the address index.
+  static constexpr std::size_t kIndexedMinAttached = 32;
 
  private:
   static constexpr std::uint32_t kNoRun = kNoPreparedRun;
+
+  /// One snapshotted receiver: its pointer plus its attach slot, so the
+  /// delivery-time membership check is one compare, not a scan.
+  struct Receiver {
+    Nic* nic = nullptr;
+    std::uint32_t slot = 0;
+  };
+
+  /// Who a frame is for; see the header comment.
+  struct Audience {
+    enum class Kind : std::uint8_t { kEveryone, kUnicast, kGroup, kArp };
+    Kind kind = Kind::kEveryone;
+    ether::MacAddress dst;        ///< kUnicast
+    std::uint32_t arp_target = 0;  ///< kArp
+  };
 
   /// The receivers one in-flight broadcast will reach, snapshotted at
   /// transmit time. Runs are pooled (index-linked free list, receiver
@@ -144,7 +196,7 @@ class LanSegment {
   /// by prepare_broadcast() also parks the frame itself (its delivery slot
   /// lives in a shared burst run with no room for a per-frame capture).
   struct ReceiverRun {
-    std::vector<Nic*> receivers;
+    std::vector<Receiver> receivers;
     ether::WireFrame frame;
     std::uint64_t detach_epoch = 0;
     /// Segment's compaction counter at snapshot time. deliver_run's
@@ -160,23 +212,54 @@ class LanSegment {
     std::uint32_t next_free = kNoRun;
   };
 
+  /// What snapshot_run hands its caller.
+  struct Snapshot {
+    std::uint32_t run = kNoRun;
+    Receiver sole;  ///< set instead of a run for a single receiver
+    /// Some receiver survived the loss draws: the frame costs a delivery
+    /// event even when none of them is interested.
+    bool carried = false;
+  };
+
   [[nodiscard]] std::uint32_t acquire_run();
   void release_run(std::uint32_t index);
-  /// Shared snapshot walk for broadcast / prepare_broadcast / inject_remote:
-  /// loss draws in attach order, `sender` and tombstones excluded. Returns
-  /// the acquired run (kNoRun when empty); with a non-null `sole_out` a
-  /// single surviving receiver is deposited there instead of paying for a
-  /// run.
-  [[nodiscard]] std::uint32_t snapshot_run(const Nic* sender, Nic** sole_out);
+  [[nodiscard]] static Audience audience_of(const ether::WireFrame& frame);
+  /// The per-NIC interest predicate: does `audience` include `nic`?
+  [[nodiscard]] static bool wants(const Nic& nic, const Audience& audience);
+  /// Shared snapshot walk for broadcast / prepare_broadcast /
+  /// inject_remote: loss draws over every attached receiver in attach
+  /// order, then the interested survivors, `sender` and tombstones
+  /// excluded. With `allow_sole` a single receiver is deposited in
+  /// Snapshot::sole instead of paying for a run.
+  [[nodiscard]] Snapshot snapshot_run(const ether::WireFrame& frame,
+                                      const Nic* sender, bool allow_sole);
+  /// Appends one receiver to the snapshot (sole first, then a run).
+  void take_receiver(Snapshot& snap, Receiver receiver, bool allow_sole);
+  /// Schedules the delivery event of a broadcast / inject_remote snapshot.
+  void schedule_delivery(const Snapshot& snap, const ether::WireFrame& frame,
+                         TimePoint at);
   /// Fires one delivery event: walks the run, delivering to every receiver
   /// still attached, then recycles the run.
   void deliver_run(std::uint32_t index, const ether::WireFrame& frame);
-  /// True while `nic` may still be delivered to (attached to this segment).
-  /// Compares stored pointers only -- `nic` may point at a destroyed NIC.
-  [[nodiscard]] bool still_attached(const Nic* nic) const;
+  /// True while `nic`, snapshotted at `slot` under `compact_epoch`, may
+  /// still be delivered to. Compares stored pointers only -- `nic` may
+  /// point at a destroyed NIC. O(1) unless a compaction renumbered slots
+  /// since the snapshot (then a scan).
+  [[nodiscard]] bool still_attached(const Nic* nic, std::uint32_t slot,
+                                    std::uint64_t compact_epoch) const;
   /// Drops the nullptr tombstones, renumbering the survivors' back-indices.
   /// Attach order (and so loss-draw order) is preserved.
   void compact_nics();
+
+  // ---- address index (segments above kIndexedMinAttached) ----
+  /// Rebuilds always_ and index_ from nics_.
+  void rebuild_index();
+  /// Adds `slot`'s MAC and (when declared) ARP-address keys to index_.
+  void index_nic(std::uint32_t slot);
+  [[nodiscard]] std::size_t index_home(std::uint64_t key) const;
+  void index_insert(std::uint64_t key, std::uint32_t entry);
+  /// Appends to `out` the live slots whose NIC matches `key`.
+  void index_lookup(std::uint64_t key, std::vector<std::uint32_t>& out) const;
 
   Scheduler* scheduler_;
   std::string name_;
@@ -195,6 +278,22 @@ class LanSegment {
   std::uint32_t free_run_ = kNoRun;
   std::uint64_t detach_epoch_ = 0;   ///< bumped by every detach_nic
   std::uint64_t compact_epoch_ = 0;  ///< bumped by every compact_nics
+
+  /// Attach slots of the NICs every group frame visits (promiscuous or no
+  /// declared ARP address), ascending. May hold tombstoned slots; the walk
+  /// re-applies wants().
+  std::vector<std::uint32_t> always_;
+  /// Open-addressing multimap (linear probing, power-of-two size) from a
+  /// MAC or ARP-address key to attach slots. An entry is the slot, with
+  /// kIpEntry set for ARP-address keys; keys are compared through nics_,
+  /// so a tombstoned slot simply stops matching. Duplicate keys coexist.
+  /// Rebuilt (with always_) when index_valid_ is false: after compaction,
+  /// a filter change filter_changed() cannot patch, or past 3/4 full.
+  std::vector<std::uint32_t> index_;
+  std::size_t index_used_ = 0;
+  unsigned index_shift_ = 64;  ///< 64 - log2(index_.size())
+  bool index_valid_ = false;
+  std::vector<std::uint32_t> matches_;  ///< lookup scratch
 };
 
 }  // namespace ab::netsim

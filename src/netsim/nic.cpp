@@ -35,6 +35,19 @@ void Nic::detach() {
   }
 }
 
+void Nic::set_promiscuous(bool on) {
+  if (on == promiscuous_) return;
+  promiscuous_ = on;
+  if (segment_ != nullptr) segment_->filter_changed(*this, arp_address_);
+}
+
+void Nic::set_arp_address(std::uint32_t ip) {
+  if (ip == arp_address_) return;
+  const std::uint32_t old_ip = arp_address_;
+  arp_address_ = ip;
+  if (segment_ != nullptr) segment_->filter_changed(*this, old_ip);
+}
+
 bool Nic::transmit(ether::WireFrame frame) {
   if (segment_ == nullptr ||
       tx_queue_.size() + (run_remaining_ > 0 ? run_remaining_ - 1 : 0) >=
@@ -245,10 +258,6 @@ void Nic::deliver(const ether::WireFrame& frame) {
   stats_.rx_frames += 1;
   stats_.rx_bytes += frame.wire_size();
   if (rx_handler_) rx_handler_(frame);
-}
-
-void Nic::deliver_wire(util::ByteView wire) {
-  deliver(ether::WireFrame::from_wire(util::ByteBuffer(wire.begin(), wire.end())));
 }
 
 BatchId TxBatch::flush(Scheduler& scheduler) {

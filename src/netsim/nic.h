@@ -1,14 +1,17 @@
 // A simulated Ethernet adapter.
 //
 // Receive path: the segment's per-broadcast delivery walk hands every
-// receiver the same shared WireFrame (one scheduled event per segment, not
-// per NIC); the NIC checks FCS validity (one decode + one CRC check shared
-// by every receiver of the frame), applies its address filter
+// interested receiver the same shared WireFrame (one scheduled event per
+// segment, not per NIC); the NIC checks FCS validity (one decode + one CRC
+// check shared by every receiver of the frame), applies its address filter
 // (unicast-to-me, broadcast, group, or everything when promiscuous -- the
 // paper's bridge "whenever an input port is bound, it is put into
 // promiscuous mode"), and hands the shared frame to the registered
-// handler. Detaching removes the NIC from in-flight delivery walks; it is
-// safe from inside another NIC's rx handler mid-walk.
+// handler. Like an adapter's hardware filter, the segment already skips
+// the NICs a frame is not for (see lan.h), so this filter only catches a
+// NIC whose state changed while the frame was in flight. Detaching
+// removes the NIC from in-flight delivery walks; it is safe from inside
+// another NIC's rx handler mid-walk.
 //
 // Transmit path: WireFrames queue FIFO behind the transmitter, which is
 // busy for the segment's serialization delay per frame; a full queue drops
@@ -121,8 +124,18 @@ class Nic {
   /// (frames are filtered-counted but dropped).
   void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
 
-  void set_promiscuous(bool on) { promiscuous_ = on; }
+  void set_promiscuous(bool on);
   [[nodiscard]] bool promiscuous() const { return promiscuous_; }
+
+  /// Declares the IPv4 address (host order; 0 = none) this NIC's stack
+  /// answers ARP for. A NIC with a declared address hears group frames
+  /// only when they are IPv4, malformed, or an ARP whose target is that
+  /// address -- the stack ignores every other broadcast -- so a segment
+  /// skips it for BPDUs, probes and other hosts' ARPs. Undeclared NICs
+  /// (bridge ports, generators, the netloader) hear every group frame.
+  /// A raw word keeps netsim free of any stack dependency.
+  void set_arp_address(std::uint32_t ip);
+  [[nodiscard]] std::uint32_t arp_address() const { return arp_address_; }
 
   /// Bounds the transmit backlog (frames). Default 512. Occupancy counts
   /// queued frames plus the unfired remainder of a scheduled burst run
@@ -176,13 +189,10 @@ class Nic {
   /// Entry point for the segment's delivery events.
   void deliver(const ether::WireFrame& frame);
 
-  /// Legacy/test entry point: wraps raw wire bytes and delivers them.
-  void deliver_wire(util::ByteView wire);
-
   [[nodiscard]] const NicStats& stats() const { return stats_; }
 
  private:
-  friend class LanSegment;  // maintains lan_index_ across attach/detach
+  friend class LanSegment;  // maintains lan_index_, reads the filter state
 
   void start_transmitter();
 
@@ -195,6 +205,7 @@ class Nic {
   std::size_t lan_index_ = 0;
   RxHandler rx_handler_;
   bool promiscuous_ = false;
+  std::uint32_t arp_address_ = 0;  ///< fits the padding after promiscuous_
   FrameFifo tx_queue_;
   std::size_t tx_queue_limit_ = 512;
   bool transmitting_ = false;

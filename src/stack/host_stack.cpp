@@ -18,6 +18,9 @@ HostStack::HostStack(netsim::Scheduler& scheduler, netsim::Nic& nic, HostConfig 
     throw std::invalid_argument("HostStack: MTU too small for IP");
   }
   if (config_.arp_cache_reserve > 0) arp_cache_.reserve(config_.arp_cache_reserve);
+  // on_frame acts on no group frame but IPv4 and ARPs naming this address:
+  // declaring it lets the segment skip this NIC for everything else.
+  nic_->set_arp_address(config_.ip.value());
   nic_->set_rx_handler(
       [this](const ether::WireFrame& frame) { on_frame(frame.frame()); });
 }

@@ -5,6 +5,11 @@
 // frame can produce a parse error, never undefined behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include "src/active/image.h"
 #include "src/bridge/bpdu.h"
 #include "src/ether/frame.h"
@@ -13,6 +18,7 @@
 #include "src/stack/ipv4.h"
 #include "src/stack/tftp.h"
 #include "src/stack/udp.h"
+#include "src/util/crc32.h"
 #include "src/util/rng.h"
 
 namespace ab {
@@ -141,6 +147,83 @@ TEST_P(CodecFuzz, DecBpduPayload) {
     frame.payload = random_bytes(rng, 64);
     (void)codec.decode(frame);
   }
+}
+
+/// Rewrites the trailing FCS so a mutated frame still passes its check:
+/// the mutation then reaches the fields behind it instead of dying there.
+void reseal_fcs(util::ByteBuffer& wire) {
+  if (wire.size() < 4) return;
+  const std::uint32_t fcs = util::crc32(util::ByteView(wire).first(wire.size() - 4));
+  for (int i = 0; i < 4; ++i) {
+    wire[wire.size() - 4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(fcs >> (24 - 8 * i));
+  }
+}
+
+TEST_P(CodecFuzz, WireSummaryAgreesWithTheFullDecode) {
+  // The LAN picks receivers from ether::summarize_wire's raw-byte read, so
+  // it must never over-read (each input sits in an exactly sized heap
+  // block, where ASan traps one byte too far) and must agree with what the
+  // receivers will decode: a frame carries an ARP target exactly when the
+  // frame parses as Ethernet II ARP and stack::ArpPacket::decode accepts
+  // its payload, and then the targets match.
+  const auto mac = [](std::uint32_t n) { return ether::MacAddress::local(n, 0); };
+  const stack::ArpPacket request = stack::ArpPacket::request(
+      mac(1), stack::Ipv4Addr(10, 0, 0, 1), stack::Ipv4Addr(10, 0, 0, 2));
+  const std::vector<util::ByteBuffer> valid = {
+      ether::Frame::ethernet2(ether::MacAddress::broadcast(), mac(1),
+                              ether::EtherType::kArp, request.encode())
+          .encode(),
+      ether::Frame::ethernet2(mac(1), mac(2), ether::EtherType::kArp,
+                              request.make_reply(mac(2)).encode())
+          .encode(),
+      ether::Frame::ethernet2(mac(2), mac(1), ether::EtherType::kIpv4,
+                              util::ByteBuffer(60, 0x45))
+          .encode(),
+      ether::Frame::llc_frame(ether::MacAddress::all_bridges(), mac(1),
+                              ether::LlcHeader::spanning_tree(), util::ByteBuffer(35, 0))
+          .encode(),
+  };
+  util::Rng rng(GetParam());
+  int arp_accepted = 0;
+  int arp_rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    util::ByteBuffer wire;
+    if (i % 4 == 0) {
+      wire = random_bytes(rng, 128);
+    } else {
+      wire = valid[rng.index(valid.size())];
+      const int flips = static_cast<int>(rng.uniform(1, 3));
+      for (int f = 0; f < flips; ++f) {
+        // Bias toward the Ethernet type and ARP header (bytes 12..21).
+        const std::size_t at =
+            rng.chance(0.6) ? 12 + rng.index(10) : rng.index(wire.size());
+        wire[at] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
+      }
+      if (rng.chance(0.2)) wire.resize(rng.index(wire.size() + 1));
+      if (rng.chance(0.9)) reseal_fcs(wire);
+    }
+    const std::unique_ptr<std::uint8_t[]> exact(new std::uint8_t[wire.size()]);
+    std::copy(wire.begin(), wire.end(), exact.get());
+    const ether::WireSummary summary =
+        ether::summarize_wire(util::ByteView(exact.get(), wire.size()));
+
+    const ether::WireFrame frame = ether::WireFrame::from_wire(wire);
+    if (!frame.ok()) continue;  // receivers count rx_bad; no decode to agree with
+    ASSERT_TRUE(summary.readable) << "input " << i;
+    const ether::Frame& parsed = frame.frame();
+    EXPECT_EQ(summary.dst, parsed.dst) << "input " << i;
+    std::optional<std::uint32_t> want;
+    if (parsed.has_type(ether::EtherType::kArp)) {
+      const auto arp = stack::ArpPacket::decode(parsed.payload);
+      if (arp) want = arp->target_ip.value();
+      (arp ? arp_accepted : arp_rejected) += 1;
+    }
+    ASSERT_EQ(summary.arp_target, want) << "input " << i;
+  }
+  // The sweep reached both sides of the ARP shape check.
+  EXPECT_GT(arp_accepted, 0);
+  EXPECT_GT(arp_rejected, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Values(11, 23, 47, 89));

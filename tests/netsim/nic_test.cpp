@@ -41,7 +41,10 @@ TEST(Nic, AddressFilterRejectsForeignUnicast) {
   t.a->transmit(to(other, t.a->mac()));
   t.net.scheduler().run();
   EXPECT_EQ(got, 0);
-  EXPECT_EQ(t.b->stats().rx_filtered, 1u);
+  // The segment applies the filter before delivery: b is skipped (counted
+  // once on the segment), never visited.
+  EXPECT_EQ(t.lan->stats().receivers_skipped, 1u);
+  EXPECT_EQ(t.lan->stats().receivers_visited, 0u);
 }
 
 TEST(Nic, PromiscuousModeAcceptsEverything) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,28 +14,35 @@ namespace ab::util {
 namespace {
 
 struct Rfc1321Case {
+  std::string name;
   std::string input;
   std::string digest;
 };
 
+// Without this, gtest prints a case as its raw bytes, string pointers included,
+// and CTest's discovered test names then change from one build to the next.
+void PrintTo(const Rfc1321Case& c, std::ostream* os) { *os << c.name; }
+
 class Md5Rfc1321 : public ::testing::TestWithParam<Rfc1321Case> {};
 
 TEST_P(Md5Rfc1321, MatchesReferenceDigest) {
-  const auto& [input, digest] = GetParam();
-  EXPECT_EQ(md5(input).hex(), digest);
+  const Rfc1321Case& c = GetParam();
+  EXPECT_EQ(md5(c.input).hex(), c.digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ReferenceVectors, Md5Rfc1321,
     ::testing::Values(
-        Rfc1321Case{"", "d41d8cd98f00b204e9800998ecf8427e"},
-        Rfc1321Case{"a", "0cc175b9c0f1b6a831c399e269772661"},
-        Rfc1321Case{"abc", "900150983cd24fb0d6963f7d28e17f72"},
-        Rfc1321Case{"message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
-        Rfc1321Case{"abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"},
-        Rfc1321Case{"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+        Rfc1321Case{"Empty", "", "d41d8cd98f00b204e9800998ecf8427e"},
+        Rfc1321Case{"A", "a", "0cc175b9c0f1b6a831c399e269772661"},
+        Rfc1321Case{"Abc", "abc", "900150983cd24fb0d6963f7d28e17f72"},
+        Rfc1321Case{"MessageDigest", "message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
+        Rfc1321Case{"LowerAlphabet", "abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"},
+        Rfc1321Case{"Alphanumeric",
+                    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
                     "d174ab98d277d9f5a5611c2c9f419d9f"},
-        Rfc1321Case{"1234567890123456789012345678901234567890123456789012345678901234"
+        Rfc1321Case{"EightyDigits",
+                    "1234567890123456789012345678901234567890123456789012345678901234"
                     "5678901234567890",
                     "57edf4a22be3c955ac49da2e2107b67a"}));
 
